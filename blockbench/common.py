@@ -4,7 +4,9 @@ result record and the timed op loop of the in-process workloads."""
 from __future__ import annotations
 
 import math
+import os
 import resource
+import signal
 import statistics
 import sys
 import time
@@ -58,14 +60,28 @@ class Speed:
     interval is divided by the slowdown probed around it (the median of
     the probes within ``window`` of it, over :data:`PROBE_S`), so the
     figures read as time on a quiet machine and the neighbours' load
-    cancels out.  The raw figures are printed beside them."""
+    cancels out.  The raw figures are printed beside them.
+
+    Child processes in :attr:`children` (the server of ``served_mix``) are
+    stopped with SIGSTOP while a probe runs, so CPU they burn between
+    requests does not slow the probe and so shrink their own figures."""
 
     def __init__(self):
         self.samples: list[float] = []
+        self.children: set[int] = set()
 
     def probe(self) -> int:
         """Take one probe; returns its index."""
-        self.samples.append(probe())
+        stopped = []
+        try:
+            for pid in self.children:
+                os.kill(pid, signal.SIGSTOP)
+                stopped.append(pid)
+                os.waitpid(pid, os.WUNTRACED)
+            self.samples.append(probe())
+        finally:
+            for pid in stopped:
+                os.kill(pid, signal.SIGCONT)
         return len(self.samples) - 1
 
     def factor(self, first: int, last: int, window: int = 2) -> float:

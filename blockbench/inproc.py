@@ -37,7 +37,6 @@ from gen import OP_DELETE, OP_GET, OP_PUT, OP_SCAN
 SSTABLE_SIZE = 64 * 1024
 BLOCK_CACHE = 128 * 1024
 ROUNDS = 3
-RESTARTS = 3
 
 
 @dataclass(frozen=True)
@@ -131,7 +130,7 @@ def run(name: str, seed: int, seconds: int, traced: bool) -> dict:
 
     inputs = Inputs(spec, seed, seconds)
     setup_times, raw_setup, rounds = [], [], []
-    for round_no in range(ROUNDS):
+    for _ in range(ROUNDS):
         (db, fs), raw, scaled = speed.timed(setup, spec, inputs, checker, speed)
         raw_setup.append(raw)
         setup_times.append(scaled)
@@ -143,19 +142,7 @@ def run(name: str, seed: int, seconds: int, traced: bool) -> dict:
         device_s = io.sim_time_s - dev0
         space_amp = stats.max_space_bytes / inputs.model.live_bytes()
         sweep(db, inputs.model, checker, "after the timed phase")
-        if round_no < ROUNDS - 1:
-            db.close()
-
-    # Restart without close: the next open recovers from the manifest and
-    # the WAL exactly as after a crash of the process.
-    from repro import DB
-
-    restart_times = []
-    for _ in range(RESTARTS):
-        db, _raw, scaled = speed.timed(DB, fs, options())
-        restart_times.append(scaled)
-    sweep(db, inputs.model, checker, "after restart")
-    db.close()
+        db.close()
 
     values = {
         "setup_s": median(setup_times),
@@ -171,7 +158,6 @@ def run(name: str, seed: int, seconds: int, traced: bool) -> dict:
         "slowdown": median(speed.samples) / PROBE_S,
         "raw setup_s": median(raw_setup),
         "raw ops_per_s": median(r["raw_ops_per_s"] for r in rounds),
-        "restart s (not gated: unsteady)": median(restart_times),
     }
     return result_line(
         checker.mismatches == 0,

@@ -283,6 +283,18 @@ class Records:
             for name, ctx, n in snap["counts"]:
                 self.cnt[(name, ctx)] = self.cnt.get((name, ctx), 0) + n
 
+    def subtract(self, earlier: "Records") -> "Records":
+        """Take away ``earlier``, records of an earlier snapshot of the same
+        trace, leaving what was recorded between the two; returns self."""
+        for key, (calls, total, own) in earlier.rec.items():
+            rec = self.rec[key]
+            rec[0] -= calls
+            rec[1] -= total
+            rec[2] -= own
+        for key, n in earlier.cnt.items():
+            self.cnt[key] -= n
+        return self
+
     def _select(self, names, ctx):
         names = (names,) if isinstance(names, str) else tuple(names)
         ctxs = None if ctx is None else ((ctx,) if isinstance(ctx, str) else tuple(ctx))

@@ -12,11 +12,14 @@ compaction.
 
 The timed phase runs in :data:`ROUNDS` rounds, each against a freshly
 started and loaded server replaying the same traces, and each op's
-latency is its best over the rounds (``common.best_of``).  The run ends
-with SIGKILL and restarts on the last round's store, after which every
-acknowledged write must read back with its last value.  The time from
-starting the process until its first PING is answered is printed, not
-reported: it moves by a quarter from run to run.
+latency is its best over the rounds (``common.best_of``).  The server is
+not deterministic, so that best also drops delays the program adds to
+some requests at random; the percentiles of the pooled samples of every
+round, which keep them, are printed beside the result but do not hold
+still from run to run on a shared machine (see the README).  The server
+is stopped (SIGSTOP) while the speed probe runs.  The run ends with
+SIGKILL and one restart on the last round's store, after which every
+acknowledged write must read back with its last value.
 """
 
 from __future__ import annotations
@@ -55,7 +58,6 @@ MIX = {OP_GET: 0.48, OP_PUT: 0.45, OP_DELETE: 0.03, OP_SCAN: 0.04}
 SCAN_ROWS = (1, 20)
 CONNECTIONS = 2
 ROUNDS = 3
-RESTARTS = 3
 #: Ops per throughput chunk of one connection.
 CHUNK = 500
 LOAD_BATCH = 250
@@ -65,8 +67,9 @@ START_TIMEOUT_S = 60.0
 class Server:
     """One launcher child process serving ``root``."""
 
-    def __init__(self, root: Path, dump_dir: Path, traced: bool):
+    def __init__(self, root: Path, dump_dir: Path, traced: bool, speed: Speed):
         self.dump_dir = dump_dir
+        self.speed = speed
         self.dumps = 0
         dump_dir.mkdir(parents=True, exist_ok=True)
         self.log = open(dump_dir / "server.log", "ab")
@@ -80,6 +83,7 @@ class Server:
             stdout=subprocess.PIPE, stderr=self.log, env=env,
         )
         self.port = self._wait_listening()
+        speed.children.add(self.proc.pid)
 
     def _wait_listening(self) -> int:
         deadline = time.monotonic() + START_TIMEOUT_S
@@ -109,6 +113,7 @@ class Server:
         return json.loads(path.read_text())
 
     def kill(self) -> None:
+        self.speed.children.discard(self.proc.pid)
         if self.proc.poll() is None:
             self.proc.kill()
         self.proc.wait()
@@ -289,9 +294,9 @@ async def _sweep(port: int) -> list[tuple[bytes, bytes]]:
         await client.aclose()
 
 
-def _start(root: Path, dump_dir: Path, traced: bool) -> Server:
+def _start(root: Path, dump_dir: Path, traced: bool, speed: Speed) -> Server:
     """Start a server and wait for its first PING answer."""
-    server = Server(root, dump_dir, traced)
+    server = Server(root, dump_dir, traced, speed)
     asyncio.run(_ping(server.port))
     return server
 
@@ -302,7 +307,7 @@ def _round(work: Path, specs: list[ConnTrace], checker: Checker, speed: Speed, t
     root = work / "store"
 
     def set_up() -> Server:
-        server = _start(root, work / "dumps", traced)
+        server = _start(root, work / "dumps", traced, speed)
         try:
             asyncio.run(_load(server.port, speed))
         except BaseException:
@@ -312,7 +317,10 @@ def _round(work: Path, specs: list[ConnTrace], checker: Checker, speed: Speed, t
 
     server, raw_setup, setup_s = speed.timed(set_up)
     try:
-        before, serve0 = server.dump(), asyncio.run(_serve_counters(server.port))
+        # The stats calls fall outside the two dumps, so the difference of
+        # the dumps covers the timed pass alone.
+        serve0 = asyncio.run(_serve_counters(server.port))
+        before = server.dump()
         conns = [Conn(spec, specs[1 - spec.parity], checker) for spec in specs]
         client_trace = None
         if traced:
@@ -325,7 +333,8 @@ def _round(work: Path, specs: list[ConnTrace], checker: Checker, speed: Speed, t
         finally:
             if client_trace is not None:
                 client_trace.restore()
-        after, serve1 = server.dump(), asyncio.run(_serve_counters(server.port))
+        after = server.dump()
+        serve1 = asyncio.run(_serve_counters(server.port))
     except BaseException:
         server.kill()
         raise
@@ -390,12 +399,8 @@ def run(seed: int, seconds: int, traced: bool) -> dict:
         expected = sorted(
             (gen.key_of(o), v) for conn in last["conns"] for o, v in conn.own.values.items()
         )
-        restart_times = []
-        for i in range(RESTARTS):
-            servers[-1].kill()
-            server, _raw, scaled = speed.timed(_start, last["root"], work / f"restart-{i}", False)
-            servers.append(server)
-            restart_times.append(scaled)
+        servers[-1].kill()
+        servers.append(_start(last["root"], work / "restart", False, speed))
         checker.check(asyncio.run(_sweep(servers[-1].port)) == expected, "sweep after kill and restart")
         merged = [_merge(r["tallies"]) for r in rounds]
         values = {
@@ -412,8 +417,13 @@ def run(seed: int, seconds: int, traced: bool) -> dict:
             "slowdown": median(speed.samples) / PROBE_S,
             "raw setup_s": median(r["raw_setup_s"] for r in rounds),
             "raw ops_per_s": median(m["raw_ops_per_s"] for m in merged),
-            "restart s (not gated: unsteady)": median(restart_times),
         }
+        pooled = latency_metrics(
+            [entry for m in merged for entry in m["trace"]],
+            [x for m in merged for x in m["latencies"]],
+        )
+        for name in ("get_p99_us", "put_p99_us", "put_p999_us", "scan_p99_us"):
+            notes[f"pooled {name}"] = pooled[name]
         return result_line(
             checker.mismatches == 0,
             sum(m["attempted"] for m in merged),
@@ -451,7 +461,11 @@ def _run_traced(
     r = _round(work / "traced", specs, checker, speed, traced=True)
     servers.append(r["server"])
     plain_ops, ops = _merge(plain["tallies"]), _merge(r["tallies"])
-    records = Records(r["after"]["layers"], r["client_trace"].snapshot())
+    # The launcher's trace is cumulative from server start (load included):
+    # only the difference of the dumps around the timed pass counts.
+    records = Records(r["after"]["layers"], r["client_trace"].snapshot()).subtract(
+        Records(r["before"]["layers"])
+    )
     silent = [w for w in EXPECTED if records.calls(w) == 0]
     if silent:
         raise SystemExit(f"served_mix: traced wrappers recorded no calls: {', '.join(silent)}")

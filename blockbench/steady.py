@@ -44,14 +44,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", action="append", choices=WORKLOADS)
     parser.add_argument("--runs", type=int, default=10)
     parser.add_argument("--seconds", type=int, default=10)
-    parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     status = 0
     for workload in args.workload or WORKLOADS:
         runs, took = [], []
-        for i in range(args.runs):
-            seed = args.first_seed + i
+        for seed in range(1, args.runs + 1):
             start = time.monotonic()
             proc = subprocess.run(
                 [
